@@ -345,8 +345,10 @@ struct RunState {
     /// Whether a worker has picked the run up yet; the first pickup
     /// records [`RunStats::sched_wait`].
     started: bool,
-    result: Option<Result<Vec<Buffer>, VmError>>,
 }
+
+/// A completed run's result and final statistics.
+type Outcome = (Result<Vec<Buffer>, VmError>, RunStats);
 
 /// One concurrent run: its program, its thread policy, and all of its
 /// mutable execution state.
@@ -373,6 +375,11 @@ struct RunContext {
     cancel: CancelCell,
     diag: Diag,
     state: Mutex<RunState>,
+    /// The completion slot, filled once by `complete_run`. Observers
+    /// (`is_finished`, joins) lock only this, never `state`: a holder of
+    /// `state` makes the workers' `try_lock` scan skip the run, and an
+    /// observer never notifies `work_cv` when it lets go.
+    done: Mutex<Option<Outcome>>,
     done_cv: Condvar,
 }
 
@@ -511,7 +518,7 @@ impl RunHandle {
 
     /// Whether the run has finished (joining would not block).
     pub fn is_finished(&self) -> bool {
-        lock(&self.run.state).result.is_some()
+        lock(&self.run.done).is_some()
     }
 
     /// Requests cooperative cancellation: workers observe the signal at
@@ -562,13 +569,17 @@ impl RunHandle {
     /// [`RunStats::cancelled_tiles`] and [`RunStats::sched_wait`] are
     /// only reachable this way.
     pub fn join_outcome(self) -> (Result<Vec<Buffer>, VmError>, RunStats) {
-        let mut st = lock(&self.run.state);
-        while st.result.is_none() {
-            st = self.run.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        let mut done = lock(&self.run.done);
+        loop {
+            if let Some(outcome) = done.take() {
+                return outcome;
+            }
+            done = self
+                .run
+                .done_cv
+                .wait(done)
+                .unwrap_or_else(|e| e.into_inner());
         }
-        let result = st.result.take().expect("checked above");
-        let stats = std::mem::take(&mut st.stats);
-        (result, stats)
     }
 }
 
@@ -887,8 +898,8 @@ impl Engine {
                 group_span: None,
                 run_span: Some(run_span),
                 started: false,
-                result: None,
             }),
+            done: Mutex::new(None),
             done_cv: Condvar::new(),
         });
 
@@ -1598,7 +1609,7 @@ fn advance(shared: &Arc<Shared>, run: &Arc<RunContext>) {
         // A panic while advancing (sequential group, finalization) fails
         // the run; the state may be mid-transition but is never read again
         // past `complete_run`.
-        let already_done = lock(&run.state).result.is_some();
+        let already_done = matches!(lock(&run.state).phase, Phase::Complete);
         if !already_done {
             complete_run(
                 shared,
@@ -2059,9 +2070,10 @@ fn complete_run(shared: &Arc<Shared>, run: &Arc<RunContext>, result: Result<Vec<
             run.diag.end(span, "run", args);
         }
     }
-    st.result = Some(result);
-    run.done_cv.notify_all();
+    let stats = std::mem::take(&mut st.stats);
     drop(st);
+    *lock(&run.done) = Some((result, stats));
+    run.done_cv.notify_all();
 
     let mut sched = lock(&shared.sched);
     sched.runs.retain(|r| r.run_id != run.run_id);

@@ -537,7 +537,13 @@ fn exec_op(op: &Op, ctx: &ChunkCtx<'_>, regs: &mut RegFile, len: usize) {
                 }
             }
             Op::UnF { op, dst, a } => {
+                let lvl = regs.simd;
                 let (d, va) = regs.pair(dst.0, a.0);
+                if matches!(op, UnF::Floor | UnF::Ceil)
+                    && simd::floor_ceil(lvl, *op == UnF::Ceil, d, va, len)
+                {
+                    return;
+                }
                 match op {
                     UnF::Neg => {
                         for i in 0..len {
@@ -697,7 +703,7 @@ fn load_chunk(
     let mut base = 0i64;
     let mut inner_aff: Option<(i64, i64, i64, i64)> = None; // (q,o,m,stride)
     let mut extra_inner: Vec<(i64, i64, i64, i64)> = Vec::new();
-    let mut reg_dims: Vec<(usize, crate::RegId)> = Vec::new();
+    let mut reg_dims: Vec<simd::IndexDim> = Vec::new();
     for (d, p) in plan.iter().enumerate() {
         match *p {
             IdxPlan::Affine { dim, q, o, m } => {
@@ -720,7 +726,12 @@ fn load_chunk(
                     base += (idx - view.origin[d]).clamp(0, view.sizes[d] - 1) * view.strides[d];
                 }
             }
-            IdxPlan::Reg(r) => reg_dims.push((d, r)),
+            IdxPlan::Reg(r) => reg_dims.push(simd::IndexDim {
+                reg: r.0 as usize,
+                org: view.origin[d],
+                size: view.sizes[d],
+                stride: view.strides[d],
+            }),
         }
     }
 
@@ -778,29 +789,24 @@ fn load_chunk(
         }
     } else {
         // General gather: data-dependent dims from registers.
-        let mut flat = [0i64; CHUNK];
-        flat[..len].fill(base);
-        for &(dim, r) in &reg_dims {
-            let idxs: &[f32; CHUNK] = regs.reg(r);
-            let (org, sz, st) = (view.origin[dim], view.sizes[dim], view.strides[dim]);
-            for i in 0..len {
-                let raw = round_ties_away(idxs[i]) as i64;
-                let clamped = raw.clamp(org, org + sz - 1);
-                flat[i] += (clamped - org) * st;
-            }
-        }
-        if let Some((q, o, m, stride)) = inner_aff {
-            let x0 = ctx.coords[ctx.inner];
-            let org = view.origin[inner_dim_of(plan, ctx.inner)];
-            for (i, f) in flat[..len].iter_mut().enumerate() {
-                let idx = (q * (x0 + i as i64) + o).div_euclid(m) - org;
-                *f += idx * stride;
-            }
-        }
-        let dreg = &mut regs.regs[d];
-        for i in 0..len {
-            dreg[i] = view.data[flat[i] as usize];
-        }
+        let axis = inner_aff.map(|(q, o, m, stride)| simd::AxisTerm {
+            x0: ctx.coords[ctx.inner],
+            q,
+            o,
+            m,
+            stride,
+            org: view.origin[inner_dim_of(plan, ctx.inner)],
+        });
+        let lvl = regs.simd;
+        // SSA: index registers precede the destination.
+        let (srcs, rest) = regs.regs.split_at_mut(d);
+        let acc = simd::Access {
+            regs: srcs,
+            base,
+            dims: &reg_dims,
+            axis,
+        };
+        simd::gather(lvl, &mut rest[0].0, view.data, &acc, len);
     }
 }
 

@@ -1,6 +1,7 @@
 //! The parallel executor: tiled groups, reductions, sequential scans.
 
 use crate::eval::{eval_kernel, BufView, ChunkCtx};
+use crate::simd::{flat_indices, Access, IndexDim};
 use crate::{
     BufDecl, BufId, Buffer, CaseExec, EvalMode, GroupKind, Program, ReductionExec, RegFile,
     SeqExec, StageExec, TiledGroup, VmError, CHUNK,
@@ -1039,6 +1040,15 @@ pub(crate) fn sweep_reduction(
     };
     let mut regs = RegFile::new();
     regs.set_simd(prog.simd);
+    let dims: Vec<IndexDim> = (0..ndim_out)
+        .map(|d| IndexDim {
+            reg: red.kernel.outs[1 + d].0 as usize,
+            org: decl.origin[d],
+            size: decl.sizes[d],
+            stride: strides[d],
+        })
+        .collect();
+    let mut flat = [0i64; CHUNK];
     let (xlo, xhi) = dom.range(n - 1);
     for_each_row(dom, dom.ndim() - 1, &mut |coords| {
         regs.begin_row();
@@ -1053,26 +1063,21 @@ pub(crate) fn sweep_reduction(
                 bufs: views,
             };
             eval_kernel(&red.kernel, &ctx, &mut regs);
-            // Borrow only the live lanes (stale lanes beyond `len` are
-            // meaningless); the index registers below are read per-lane.
+            // Target cells: every index register rounded and clamped into
+            // the output, per lane; then combine in lane order. Only the
+            // live lanes are read (stale lanes beyond `len` are
+            // meaningless).
+            let acc = Access {
+                regs: &regs.regs,
+                base: 0,
+                dims: &dims,
+                axis: None,
+            };
+            flat_indices(regs.simd, &acc, len, out.len(), &mut flat);
             let val = &regs.reg(red.kernel.outs[0])[..len];
-            // Gather target indices and scatter-combine.
-            for (i, &v) in val.iter().enumerate() {
-                let mut flat = 0i64;
-                let mut ok = true;
-                for (d, &stride) in strides.iter().enumerate().take(ndim_out) {
-                    let idx = regs.reg(red.kernel.outs[1 + d])[i].round() as i64;
-                    let idx = idx.clamp(decl.origin[d], decl.origin[d] + decl.sizes[d] - 1);
-                    if decl.sizes[d] == 0 {
-                        ok = false;
-                        break;
-                    }
-                    flat += (idx - decl.origin[d]) * stride;
-                }
-                if ok {
-                    let cell = &mut out[flat as usize];
-                    *cell = red.op.combine(*cell as f64, v as f64) as f32;
-                }
+            for (&v, &f) in val.iter().zip(&flat[..len]) {
+                let cell = &mut out[f as usize];
+                *cell = red.op.combine(*cell as f64, v as f64) as f32;
             }
             x += len as i64;
         }

@@ -12,7 +12,8 @@
 //!   innermost buffer dimension): a straight `copy_from_slice`;
 //! - **constant-stride** — a single affine dimension varies along the
 //!   chunk axis: one strided loop;
-//! - **gather** — data-dependent register indices (round + clamp per lane);
+//! - **gather** — data-dependent register indices, rounded and clamped
+//!   per lane by [`crate::simd::gather`] (a hardware gather on AVX2);
 //! - **diagonal** — two or more affine dimensions vary along the chunk
 //!   axis (accesses like `g(x, x)`).
 //!
@@ -23,7 +24,8 @@
 //! each load with the class it will take under the nominal chunk axis (the
 //! innermost loop dimension).
 
-use crate::eval::{round_ties_away, ChunkCtx, RegFile, CHUNK};
+use crate::eval::{round_ties_away, ChunkCtx, RegFile};
+use crate::simd::{Access, AxisTerm, IndexDim};
 use crate::{BufId, IdxPlan, RegId};
 
 /// Compile-time access class of one load (under the nominal chunk axis).
@@ -168,8 +170,8 @@ pub(crate) enum ResolvedLoad {
     Gather {
         /// Flat offset from non-varying affine dimensions.
         base: i64,
-        /// Per register-indexed dimension: `(origin, size, stride, reg)`.
-        dims: Vec<(i64, i64, i64, RegId)>,
+        /// The register-indexed dimensions.
+        dims: Vec<IndexDim>,
         /// Affine chunk-axis term `(q, o, m, stride, origin)`, if any.
         inner: Option<(i64, i64, i64, i64, i64)>,
     },
@@ -206,7 +208,7 @@ pub(crate) fn resolve_load(ctx: &ChunkCtx<'_>, buf: BufId, plan: &[IdxPlan]) -> 
     let mut base = 0i64;
     let mut inner_aff: Option<(i64, i64, i64, i64, i64)> = None; // (q,o,m,stride,org)
     let mut extra: Vec<(i64, i64, i64, i64, i64)> = Vec::new();
-    let mut reg_dims: Vec<(i64, i64, i64, RegId)> = Vec::new();
+    let mut reg_dims: Vec<IndexDim> = Vec::new();
     for (d, p) in plan.iter().enumerate() {
         match *p {
             IdxPlan::Affine { dim, q, o, m } => {
@@ -231,7 +233,12 @@ pub(crate) fn resolve_load(ctx: &ChunkCtx<'_>, buf: BufId, plan: &[IdxPlan]) -> 
                 }
             }
             IdxPlan::Reg(r) => {
-                reg_dims.push((view.origin[d], view.sizes[d], view.strides[d], r));
+                reg_dims.push(IndexDim {
+                    reg: r.0 as usize,
+                    org: view.origin[d],
+                    size: view.sizes[d],
+                    stride: view.strides[d],
+                });
             }
         }
     }
@@ -322,26 +329,24 @@ pub(crate) fn exec_resolved(
             ref dims,
             inner,
         } => {
-            let mut flat = [0i64; CHUNK];
-            flat[..len].fill(base);
-            for &(org, sz, st, r) in dims {
-                let idxs = regs.reg(r);
-                for i in 0..len {
-                    let raw = round_ties_away(idxs[i]) as i64;
-                    let clamped = raw.clamp(org, org + sz - 1);
-                    flat[i] += (clamped - org) * st;
-                }
-            }
-            if let Some((q, o, m, stride, org)) = inner {
-                for (i, f) in flat[..len].iter_mut().enumerate() {
-                    let idx = (q * (x0 + i as i64) + o).div_euclid(m) - org;
-                    *f += idx * stride;
-                }
-            }
-            let dreg = &mut regs.regs[d];
-            for i in 0..len {
-                dreg[i] = view.data[flat[i] as usize];
-            }
+            let axis = inner.map(|(q, o, m, stride, org)| AxisTerm {
+                x0,
+                q,
+                o,
+                m,
+                stride,
+                org,
+            });
+            let lvl = regs.simd;
+            // SSA: index registers precede the destination.
+            let (srcs, rest) = regs.regs.split_at_mut(d);
+            let acc = Access {
+                regs: srcs,
+                base,
+                dims,
+                axis,
+            };
+            crate::simd::gather(lvl, &mut rest[0].0, view.data, &acc, len);
         }
         ResolvedLoad::Multi { base, ref dims } => {
             let dreg = &mut regs.regs[d];

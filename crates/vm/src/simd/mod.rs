@@ -22,9 +22,15 @@
 //! zeros, subnormals, and infinities. That shapes the implementation:
 //!
 //! - only IEEE-exact ops are vectorized (add/sub/mul/div/min/max,
-//!   comparisons, mask algebra, select, round/saturate casts, and loads);
-//!   transcendentals (`UnF`), `Mod`, `Pow`, and data-dependent gathers stay
-//!   on the scalar paths;
+//!   comparisons, mask algebra, select, round/saturate casts, floor/ceil,
+//!   loads, data-dependent gathers and the reduction scatter's target
+//!   indices); transcendentals, `Mod` and `Pow` stay on the scalar paths;
+//! - data-dependent indices are computed in one routine ([`gather`],
+//!   [`flat_indices`]): exact rounding, saturation and clamping per lane,
+//!   a stepped (division-free) chunk-axis floor division, and on AVX2 a
+//!   hardware gather only when every index is proven in bounds — anything
+//!   unproven takes the bounds-checked scalar load, which panics on an
+//!   out-of-range affine index exactly as before;
 //! - **no FMA contraction is ever emitted** — multiplies and adds remain
 //!   separate instructions, so results match the scalar evaluation exactly;
 //! - `min`/`max` blend around the asymmetric NaN/±0 behavior of
@@ -54,7 +60,7 @@ mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-use crate::eval::CHUNK;
+use crate::eval::{round_ties_away, CHUNK};
 use crate::{BinF, CmpF};
 
 /// A cache-line-aligned chunk register: the storage unit of
@@ -529,6 +535,317 @@ pub(crate) fn strided_load(
             true
         }
         _ => false,
+    }
+}
+
+/// Vectorized [`crate::UnF::Floor`] (`ceil == false`) or
+/// [`crate::UnF::Ceil`] (`ceil == true`). Other unary ops stay scalar.
+#[inline]
+pub(crate) fn floor_ceil(
+    level: SimdLevel,
+    ceil: bool,
+    d: &mut [f32; CHUNK],
+    a: &[f32; CHUNK],
+    len: usize,
+) -> bool {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            unsafe { x86::floor_ceil_avx2(ceil, d, a, len) };
+            true
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => {
+            unsafe { x86::floor_ceil_sse2(ceil, d, a, len) };
+            true
+        }
+        #[cfg(target_arch = "aarch64")]
+        SimdLevel::Neon => {
+            unsafe { neon::floor_ceil_neon(ceil, d, a, len) };
+            true
+        }
+        _ => false,
+    }
+}
+
+/// `f32::floor`/`f32::ceil` exactly as the portable scalar path computes
+/// them. Kept out of line so that `#[target_feature]` callers cannot
+/// inline it and re-lower it with their own instructions: on x86-64 the
+/// baseline build calls `floorf`/`ceilf`, which may pass a signaling NaN
+/// through, while `roundss` would quiet it.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+fn scalar_floor_ceil(ceil: bool, x: f32) -> f32 {
+    if ceil {
+        x.ceil()
+    } else {
+        x.floor()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Data-dependent indexing: gathers and reduction-scatter indices.
+//
+// A data-dependent access computes, for every lane `i`,
+//
+//   flat[i] = base
+//           + Σ_dims (clamp(round_ties_away(regs[reg][i]) as i64,
+//                           org, org + size − 1) − org) · stride
+//           + ((q·(x0 + i) + o) div m − org) · stride   (chunk-axis term)
+//
+// with the register dimensions clamped into the buffer and the affine
+// chunk-axis term not clamped (an out-of-range affine index panics at the
+// load, as the scalar loop always did). Every level computes exactly
+// these integers: the rounding uses the exact `cast_round` sequences, the
+// chunk-axis floor division is stepped (one division per chunk, none per
+// lane), and on AVX2 an access whose every index is proven to lie in
+// `[0, len)` and within `i32` runs in 32-bit lanes and loads with
+// `vgatherdps`.
+// ---------------------------------------------------------------------------
+
+/// One register-indexed dimension of a data-dependent access.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IndexDim {
+    /// Register holding the (float) index of every lane.
+    pub(crate) reg: usize,
+    /// Buffer origin of the dimension.
+    pub(crate) org: i64,
+    /// Buffer extent of the dimension; indices clamp to
+    /// `[org, org + size − 1]`.
+    pub(crate) size: i64,
+    /// Element stride of the dimension.
+    pub(crate) stride: i64,
+}
+
+/// The affine chunk-axis term of a data-dependent access at chunk start
+/// `x0`: lane `i` adds `((q·(x0 + i) + o) div m − org) · stride`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AxisTerm {
+    pub(crate) x0: i64,
+    pub(crate) q: i64,
+    pub(crate) o: i64,
+    pub(crate) m: i64,
+    pub(crate) stride: i64,
+    pub(crate) org: i64,
+}
+
+impl AxisTerm {
+    /// Quotient and remainder of lane 0, `(q·x0 + o − org·m) divmod m`
+    /// (the quotient is lane 0's index relative to `org`), or `None` when
+    /// stepping does not apply: a non-positive divisor or an overflow.
+    fn start(&self) -> Option<(i64, i64)> {
+        if self.m < 1 {
+            return None;
+        }
+        let u = self
+            .q
+            .checked_mul(self.x0)?
+            .checked_add(self.o)?
+            .checked_sub(self.org.checked_mul(self.m)?)?;
+        Some((u.div_euclid(self.m), u.rem_euclid(self.m)))
+    }
+}
+
+/// One data-dependent access over a chunk (see the section comment).
+pub(crate) struct Access<'a> {
+    /// The kernel's registers holding the index lanes (for a load: the
+    /// registers below its destination).
+    pub(crate) regs: &'a [Lanes],
+    /// Flat offset of the chunk-invariant dimensions.
+    pub(crate) base: i64,
+    /// The register-indexed dimensions.
+    pub(crate) dims: &'a [IndexDim],
+    /// The affine chunk-axis term, if a dimension varies with the chunk.
+    pub(crate) axis: Option<AxisTerm>,
+}
+
+/// Loads `d[i] = data[flat[i]]` for lanes `0..len` of `acc`. Panics, like
+/// the scalar loop, when an index falls outside `data`.
+pub(crate) fn gather(
+    level: SimdLevel,
+    d: &mut [f32; CHUNK],
+    data: &[f32],
+    acc: &Access<'_>,
+    len: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 {
+        if let Some(plan) = Plan32::prove(acc, len, data.len()) {
+            let mut idx = [0i32; CHUNK];
+            // SAFETY: `level` is a detected level (see the dispatch
+            // wrappers); `plan` was proven for `acc` and `len` against
+            // `data.len()`, so every index `indices_avx2` writes for lanes
+            // `0..len` lies inside `data`.
+            unsafe {
+                x86::indices_avx2(&mut idx, &plan, acc, len);
+                x86::gather_avx2(d, data, &idx, len);
+            }
+            return;
+        }
+    }
+    let mut flat = [0i64; CHUNK];
+    exact_indices(level, acc, len, &mut flat);
+    for (v, &f) in d[..len].iter_mut().zip(&flat[..len]) {
+        *v = data[f as usize];
+    }
+}
+
+/// The flat indices of lanes `0..len` of `acc` into a buffer of `bound`
+/// elements (the reduction scatter's target cells).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn flat_indices(
+    level: SimdLevel,
+    acc: &Access<'_>,
+    len: usize,
+    bound: usize,
+    flat: &mut [i64; CHUNK],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 {
+        if let Some(plan) = Plan32::prove(acc, len, bound) {
+            let mut idx = [0i32; CHUNK];
+            // SAFETY: `level` is a detected level; `plan` was proven for
+            // `acc` and `len`.
+            unsafe { x86::indices_avx2(&mut idx, &plan, acc, len) };
+            for (f, &i) in flat[..len].iter_mut().zip(&idx[..len]) {
+                *f = i as i64;
+            }
+            return;
+        }
+    }
+    exact_indices(level, acc, len, flat);
+}
+
+/// The flat indices in 64-bit lanes, at any level: the reference the
+/// 32-bit path must equal, and the fallback when it cannot be proven.
+fn exact_indices(level: SimdLevel, acc: &Access<'_>, len: usize, flat: &mut [i64; CHUNK]) {
+    let base = acc.base;
+    match acc.axis.map(|a| (a, a.start())) {
+        None => flat[..len].fill(base),
+        Some((a, Some((mut qt, mut r)))) => {
+            let (dq, dr) = (a.q.div_euclid(a.m), a.q.rem_euclid(a.m));
+            for f in &mut flat[..len] {
+                *f = base + qt * a.stride;
+                qt += dq;
+                r += dr;
+                if r >= a.m {
+                    r -= a.m;
+                    qt += 1;
+                }
+            }
+        }
+        Some((a, None)) => {
+            for (i, f) in flat[..len].iter_mut().enumerate() {
+                *f = base + ((a.q * (a.x0 + i as i64) + a.o).div_euclid(a.m) - a.org) * a.stride;
+            }
+        }
+    }
+    let mut rounded = Lanes::zeroed();
+    for dim in acc.dims {
+        let src = &acc.regs[dim.reg].0;
+        if !cast_round(level, &mut rounded.0, src, len) {
+            for (r, &v) in rounded[..len].iter_mut().zip(&src[..len]) {
+                *r = round_ties_away(v);
+            }
+        }
+        let hi = dim.org + dim.size - 1;
+        for (f, &r) in flat[..len].iter_mut().zip(&rounded[..len]) {
+            *f += ((r as i64).clamp(dim.org, hi) - dim.org) * dim.stride;
+        }
+    }
+}
+
+/// A data-dependent access proven to fit 32-bit lanes: every flat index
+/// of lanes `0..len` lies in `[0, bound)` with `bound ≤ 2³¹`, so every
+/// partial sum of the index does too. Register dimensions clamp in the
+/// float domain, which equals the integer clamp because both clamp bounds
+/// are integers of magnitude at most 2²⁴ (exact in `f32`).
+#[cfg(target_arch = "x86_64")]
+struct Plan32 {
+    base: i32,
+    axis: Option<Axis32>,
+}
+
+/// The stepped chunk-axis term of [`Plan32`] for one 8-lane block: lane
+/// `j` holds quotient `qt[j]` and remainder `r[j]` of its `(q·x + o −
+/// org·m) divmod m`; the next block adds `8q divmod m` with one carry.
+#[cfg(target_arch = "x86_64")]
+struct Axis32 {
+    qt: [i32; 8],
+    r: [i32; 8],
+    dq8: i32,
+    dr8: i32,
+    m: i32,
+    stride: i32,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Plan32 {
+    /// Largest clamp bound that is exact in `f32` (2²⁴).
+    const F32_EXACT: i64 = 1 << 24;
+
+    fn prove(acc: &Access<'_>, len: usize, bound: usize) -> Option<Plan32> {
+        let base = acc.base;
+        if len == 0 || bound > 1usize << 31 || base < 0 {
+            return None;
+        }
+        let mut reg_max = 0i64;
+        for dim in acc.dims {
+            let hi = dim.org.checked_add(dim.size)? - 1;
+            if dim.size < 1 || dim.stride < 0 || dim.org < -Self::F32_EXACT || hi > Self::F32_EXACT
+            {
+                return None;
+            }
+            reg_max = reg_max.checked_add((dim.size - 1).checked_mul(dim.stride)?)?;
+        }
+        let (lo, hi, axis) = match acc.axis.map(|a| (a, a.start())) {
+            None => (base, base, None),
+            // The scalar loop divides by `m` even where the term is
+            // multiplied by zero; leave those shapes to it.
+            Some((_, None)) => return None,
+            Some((a, Some(_))) if a.stride == 0 => (base, base, None),
+            Some((a, Some((qt0, r0)))) => {
+                if a.stride < 0 {
+                    return None;
+                }
+                let span = a.q.checked_mul(len as i64 - 1)?.checked_add(r0)?;
+                let qt_last = qt0.checked_add(span.div_euclid(a.m))?;
+                let (qmin, qmax) = (qt0.min(qt_last), qt0.max(qt_last));
+                let lo = base.checked_add(qmin.checked_mul(a.stride)?)?;
+                let hi = base.checked_add(qmax.checked_mul(a.stride)?)?;
+                let (dq, dr) = (a.q.div_euclid(a.m), a.q.rem_euclid(a.m));
+                let q8 = a.q.checked_mul(8)?;
+                let mut ax = Axis32 {
+                    qt: [0; 8],
+                    r: [0; 8],
+                    dq8: i32::try_from(q8.div_euclid(a.m)).ok()?,
+                    dr8: i32::try_from(q8.rem_euclid(a.m)).ok()?,
+                    m: i32::try_from(a.m).ok()?,
+                    stride: i32::try_from(a.stride).ok()?,
+                };
+                // Lanes past `len` in the first block are computed but
+                // never used; wrapping keeps them harmless.
+                let (mut qt, mut r) = (qt0, r0);
+                for j in 0..8 {
+                    ax.qt[j] = qt as i32;
+                    ax.r[j] = r as i32;
+                    qt = qt.wrapping_add(dq);
+                    r += dr;
+                    if r >= a.m {
+                        r -= a.m;
+                        qt = qt.wrapping_add(1);
+                    }
+                }
+                (lo, hi, Some(ax))
+            }
+        };
+        if lo < 0 || hi.checked_add(reg_max)? >= bound as i64 {
+            return None;
+        }
+        Some(Plan32 {
+            base: i32::try_from(base).ok()?,
+            axis,
+        })
     }
 }
 

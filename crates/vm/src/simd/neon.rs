@@ -160,6 +160,28 @@ pub(super) unsafe fn round_neon(d: &mut [f32; CHUNK], a: &[f32; CHUNK], len: usi
     }
 }
 
+/// `UnF::Floor` (`frintm`) or `UnF::Ceil` (`frintp`): the vector forms
+/// of the instructions `f32::floor`/`f32::ceil` lower to.
+#[target_feature(enable = "neon")]
+pub(super) unsafe fn floor_ceil_neon(
+    ceil: bool,
+    d: &mut [f32; CHUNK],
+    a: &[f32; CHUNK],
+    len: usize,
+) {
+    let n = len & !3;
+    let (ap, dp) = (a.as_ptr(), d.as_mut_ptr());
+    let mut i = 0;
+    while i < n {
+        let x = vld1q_f32(ap.add(i));
+        vst1q_f32(dp.add(i), if ceil { vrndpq_f32(x) } else { vrndmq_f32(x) });
+        i += 4;
+    }
+    for i in n..len {
+        d[i] = if ceil { a[i].ceil() } else { a[i].floor() };
+    }
+}
+
 /// `CastSat`: clamp to `[lo, hi]`, then round half away from zero.
 #[target_feature(enable = "neon")]
 pub(super) unsafe fn sat_neon(

@@ -317,6 +317,143 @@ pub(super) unsafe fn strided_avx2(
     }
 }
 
+/// `UnF::Floor` (`ceil == false`) or `UnF::Ceil` via `roundps` with
+/// exceptions suppressed — exact on every non-NaN input. NaN lanes (and
+/// the tail) take the portable scalar function, because `roundps` quiets
+/// signaling NaNs while the baseline `floorf`/`ceilf` may pass them
+/// through.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn floor_ceil_avx2(
+    ceil: bool,
+    d: &mut [f32; CHUNK],
+    a: &[f32; CHUNK],
+    len: usize,
+) {
+    let n = len & !7;
+    let (ap, dp) = (a.as_ptr(), d.as_mut_ptr());
+    let mut i = 0;
+    while i < n {
+        let x = _mm256_load_ps(ap.add(i));
+        let r = if ceil {
+            _mm256_round_ps::<{ _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC }>(x)
+        } else {
+            _mm256_round_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(x)
+        };
+        _mm256_store_ps(dp.add(i), r);
+        if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(x, x)) != 0 {
+            fix_nan_lanes(ceil, d, a, i, i + 8);
+        }
+        i += 8;
+    }
+    for i in n..len {
+        d[i] = super::scalar_floor_ceil(ceil, a[i]);
+    }
+}
+
+/// Recomputes the NaN lanes of `lo..hi` with the portable scalar function.
+#[inline]
+fn fix_nan_lanes(ceil: bool, d: &mut [f32; CHUNK], a: &[f32; CHUNK], lo: usize, hi: usize) {
+    for j in lo..hi {
+        if a[j].is_nan() {
+            d[j] = super::scalar_floor_ceil(ceil, a[j]);
+        }
+    }
+}
+
+/// Flat indices of a data-dependent access proven to fit 32-bit lanes
+/// (see [`super::Plan32`]), for every 8-lane block that covers
+/// `0..len`. Lanes at and past `len` hold meaningless values.
+///
+/// Per register dimension: round (ties away, exact), NaN → 0, clamp in
+/// the float domain (exact: both bounds are integers within ±2²⁴), then
+/// truncate — equal to `(round(v) as i64).clamp(org, hi)` in every lane.
+///
+/// # Safety
+///
+/// AVX2 must be available, and `plan` must come from
+/// [`super::Plan32::prove`] for this `acc` and `len` (the 32-bit lane
+/// arithmetic is exact only under its bounds). Register reads stay inside
+/// the 128-lane registers: `8 · ⌈len / 8⌉ ≤ CHUNK`.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn indices_avx2(
+    out: &mut [i32; CHUNK],
+    plan: &super::Plan32,
+    acc: &super::Access<'_>,
+    len: usize,
+) {
+    let blocks = len.div_ceil(8);
+    let op = out.as_mut_ptr() as *mut __m256i;
+    let base = _mm256_set1_epi32(plan.base);
+    match &plan.axis {
+        None => {
+            for b in 0..blocks {
+                _mm256_storeu_si256(op.add(b), base);
+            }
+        }
+        Some(ax) => {
+            let mut qt = _mm256_loadu_si256(ax.qt.as_ptr() as *const __m256i);
+            let mut r = _mm256_loadu_si256(ax.r.as_ptr() as *const __m256i);
+            let (dq, dr) = (_mm256_set1_epi32(ax.dq8), _mm256_set1_epi32(ax.dr8));
+            let (m, m1) = (_mm256_set1_epi32(ax.m), _mm256_set1_epi32(ax.m - 1));
+            let stride = _mm256_set1_epi32(ax.stride);
+            for b in 0..blocks {
+                let t = _mm256_add_epi32(base, _mm256_mullo_epi32(qt, stride));
+                _mm256_storeu_si256(op.add(b), t);
+                // Next block: add 8q divmod m, carrying once.
+                qt = _mm256_add_epi32(qt, dq);
+                r = _mm256_add_epi32(r, dr);
+                let carry = _mm256_cmpgt_epi32(r, m1);
+                r = _mm256_sub_epi32(r, _mm256_and_si256(carry, m));
+                qt = _mm256_sub_epi32(qt, carry);
+            }
+        }
+    }
+    for dim in acc.dims {
+        let src = acc.regs[dim.reg].0.as_ptr();
+        let lo = _mm256_set1_ps(dim.org as f32);
+        let hi = _mm256_set1_ps((dim.org + dim.size - 1) as f32);
+        let org = _mm256_set1_epi32(dim.org as i32);
+        let stride = _mm256_set1_epi32(dim.stride as i32);
+        for b in 0..blocks {
+            let v = round8(_mm256_load_ps(src.add(8 * b)));
+            let v = _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v), v);
+            let c = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
+            let rel = _mm256_sub_epi32(_mm256_cvttps_epi32(c), org);
+            let acc = _mm256_loadu_si256(op.add(b));
+            let acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(rel, stride));
+            _mm256_storeu_si256(op.add(b), acc);
+        }
+    }
+}
+
+/// Hardware gather `d[i] = data[idx[i]]` of lanes `0..len`; the tail
+/// reads through bounds-checked indexing.
+///
+/// # Safety
+///
+/// AVX2 must be available, and every `idx[i]` with `i < len & !7` must be
+/// a valid index into `data` (proven by [`super::Plan32::prove`] before
+/// [`indices_avx2`] computed them): `vgatherdps` reads unchecked.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn gather_avx2(
+    d: &mut [f32; CHUNK],
+    data: &[f32],
+    idx: &[i32; CHUNK],
+    len: usize,
+) {
+    let n = len & !7;
+    let base = data.as_ptr();
+    let mut i = 0;
+    while i < n {
+        let vi = _mm256_loadu_si256(idx.as_ptr().add(i) as *const __m256i);
+        _mm256_storeu_ps(d.as_mut_ptr().add(i), _mm256_i32gather_ps::<4>(base, vi));
+        i += 8;
+    }
+    for i in n..len {
+        d[i] = data[idx[i] as usize];
+    }
+}
+
 // ---------------------------------------------------------------------------
 // SSE2 (4 lanes). Same sequences at 128-bit width; SSE2 has no `blendv`
 // (that is SSE4.1), so selects use and/andnot/or on full-width masks.
@@ -361,6 +498,29 @@ unsafe fn round4(x: __m128) -> __m128 {
     let signed = _mm_or_ps(rounded, _mm_and_ps(sign_mask, x));
     let quieted = _mm_add_ps(x, _mm_set1_ps(0.0));
     sel4(big, quieted, signed)
+}
+
+/// `f32::floor` (`CEIL == false`) or `f32::ceil` of every non-NaN lane,
+/// 4 lanes. SSE2 has no `roundps` (SSE4.1): truncate, step one toward −∞
+/// (+∞) where the truncation overshot, and OR the input's sign back so
+/// that `(-1, -0]` floors (ceils) to `-0.0`. Lanes with `|x| ≥ 2²³`
+/// (already integral) and infinities pass through unchanged; NaN lanes
+/// are the caller's to fix.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn floor_ceil4<const CEIL: bool>(x: __m128) -> __m128 {
+    let sign_mask = _mm_set1_ps(-0.0);
+    let one = _mm_set1_ps(1.0);
+    let abs = _mm_andnot_ps(sign_mask, x);
+    let big = _mm_cmpnlt_ps(abs, _mm_set1_ps(8388608.0));
+    let tr = _mm_cvtepi32_ps(_mm_cvttps_epi32(x));
+    let stepped = if CEIL {
+        _mm_add_ps(tr, _mm_and_ps(_mm_cmplt_ps(tr, x), one))
+    } else {
+        _mm_sub_ps(tr, _mm_and_ps(_mm_cmpgt_ps(tr, x), one))
+    };
+    let signed = _mm_or_ps(stepped, _mm_and_ps(sign_mask, x));
+    sel4(big, x, signed)
 }
 
 /// `f32::clamp(v, lo, hi)` semantics, 4 lanes.
@@ -500,6 +660,36 @@ pub(super) unsafe fn round_sse2(d: &mut [f32; CHUNK], a: &[f32; CHUNK], len: usi
     }
     for i in n..len {
         d[i] = round_ties_away(a[i]);
+    }
+}
+
+/// `UnF::Floor` (`ceil == false`) or `UnF::Ceil`; NaN lanes and the tail
+/// take the portable scalar function (see [`floor_ceil_avx2`]).
+#[target_feature(enable = "sse2")]
+pub(super) unsafe fn floor_ceil_sse2(
+    ceil: bool,
+    d: &mut [f32; CHUNK],
+    a: &[f32; CHUNK],
+    len: usize,
+) {
+    let n = len & !3;
+    let (ap, dp) = (a.as_ptr(), d.as_mut_ptr());
+    let mut i = 0;
+    while i < n {
+        let x = _mm_load_ps(ap.add(i));
+        let r = if ceil {
+            floor_ceil4::<true>(x)
+        } else {
+            floor_ceil4::<false>(x)
+        };
+        _mm_store_ps(dp.add(i), r);
+        if _mm_movemask_ps(_mm_cmpunord_ps(x, x)) != 0 {
+            fix_nan_lanes(ceil, d, a, i, i + 4);
+        }
+        i += 4;
+    }
+    for i in n..len {
+        d[i] = super::scalar_floor_ceil(ceil, a[i]);
     }
 }
 

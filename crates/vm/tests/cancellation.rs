@@ -369,23 +369,47 @@ fn priority_and_deadline_order_claims() {
 }
 
 /// Queued runs report the time they spent waiting for their first claim.
+///
+/// A long blocker holds the only worker while both runs are submitted, so
+/// both are queued behind it and the second is queued behind the first:
+/// its wait covers at least the time the first run kept the worker busy.
+/// (Comparing the two waits directly depends on how long the submitting
+/// thread takes between the two submissions, which a loaded host can
+/// stretch past the first run's whole execution.)
 #[test]
 fn sched_wait_reported_for_queued_runs() {
-    let engine = Engine::with_threads(1);
+    let engine = Engine::with_threads_and_inflight(1, 3);
+    let blocker_prog = Arc::new(chain_program(64, 1 << 18, 1 << 12));
+    let blocker_input = input_for(1 << 18, 5);
+    let blocker = engine
+        .submit(RunRequest::new(
+            &blocker_prog,
+            std::slice::from_ref(&blocker_input),
+        ))
+        .unwrap();
     let prog = Arc::new(chain_program(8, 1 << 16, 1 << 10));
     let input = input_for(1 << 16, 6);
     let inputs = std::slice::from_ref(&input);
 
     let first = engine.submit(RunRequest::new(&prog, inputs)).unwrap();
     let queued = engine.submit(RunRequest::new(&prog, inputs)).unwrap();
+    assert!(
+        !blocker.is_finished(),
+        "the blocker finished before both runs were queued"
+    );
+    blocker.cancel();
+    let (_, sb) = blocker.join_outcome();
+    assert!(sb.cancelled_tiles > 0, "the blocker was cut short");
     let (_, s1) = first.join_stats().unwrap();
     let (_, s2) = queued.join_stats().unwrap();
+    let busy1: Duration = s1.worker_busy.iter().sum();
     assert!(
-        s2.sched_wait >= s1.sched_wait,
-        "queued run waited {:?}, first {:?}",
+        s2.sched_wait >= busy1,
+        "queued run waited {:?}, first run kept the worker busy {:?}",
         s2.sched_wait,
-        s1.sched_wait
+        busy1
     );
+    assert!(s1.sched_wait > Duration::ZERO);
     assert_eq!(s2.cancelled_tiles, 0);
 }
 

@@ -11,6 +11,16 @@ fn view_1d(data: &[f32]) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
     (vec![0], vec![1], vec![data.len() as i64])
 }
 
+/// A 1-D view whose element 0 sits at coordinate `x0`.
+fn view_at(data: &[f32], x0: i64) -> BufView<'_> {
+    BufView {
+        data,
+        origin: vec![x0],
+        strides: vec![1],
+        sizes: vec![data.len() as i64],
+    }
+}
+
 proptest! {
     /// Affine loads `(q·x + o)/m` equal naive gather for every chunk split.
     #[test]
@@ -210,6 +220,116 @@ proptest! {
                 prop_assert_eq!(got_colwise[i], data[i]);
             }
         }
+        }
+    }
+
+    /// Data-dependent gathers `buf[round(r0), (q·x + o) div m, round(r1)]`
+    /// on a buffer with negative origins: index lanes mix adversarial
+    /// values (NaN, ±inf, ties, |v| ≥ 2³¹, one past either bound) with
+    /// random ones; every level equals the naive per-lane indexing, through
+    /// the legacy and the optimized evaluation paths alike.
+    #[test]
+    fn gathers_match_naive_at_every_level(
+        q in 1i64..3,
+        m in 1i64..9,
+        o in -9i64..1,
+        shift in 0i64..8,
+        len in 1usize..129,
+        picks in proptest::collection::vec((0usize..16, -12.0f32..12.0), 256..257),
+    ) {
+        const SPECIAL: [f32; 16] = [
+            f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.5, -0.5, 2.5, -3.5,
+            2147483648.0, -2147483648.0, 3.0e9, -1.0e20, -5.0, 2.0, -4.5, 1.5,
+        ];
+        let (org, size) = ([-4i64, -140, -2], [6i64, 280, 4]);
+        let strides = [size[1] * size[2], size[2], 1];
+        let data: Vec<f32> = (0..size.iter().product::<i64>()).map(|i| i as f32 - 0.5).collect();
+        let lane = |(k, r): (usize, f32)| if k < 6 { SPECIAL[(k * 7 + r.to_bits() as usize) % 16] } else { r };
+        let a: Vec<f32> = picks[..128].iter().map(|&p| lane(p)).collect();
+        let b: Vec<f32> = picks[128..].iter().map(|&p| lane(p)).collect();
+        let x0 = (org[1] * m - o + q - 1).div_euclid(q) + shift;
+        let contig = || vec![IdxPlan::Affine { dim: Some(0), q: 1, o: 0, m: 1 }];
+        let k = Kernel {
+            ops: vec![
+                Op::Load { dst: RegId(0), buf: BufId(1), plan: contig() },
+                Op::Load { dst: RegId(1), buf: BufId(2), plan: contig() },
+                Op::Load {
+                    dst: RegId(2),
+                    buf: BufId(0),
+                    plan: vec![
+                        IdxPlan::Reg(RegId(0)),
+                        IdxPlan::Affine { dim: Some(0), q, o, m },
+                        IdxPlan::Reg(RegId(1)),
+                    ],
+                },
+            ],
+            nregs: 3,
+            meta: None,
+            outs: vec![RegId(2)],
+        };
+        let mut opt = k.clone();
+        optimize_kernel(&mut opt, 1, &[None], "gather".into());
+        let bufs = [
+            Some(BufView { data: &data, origin: org.to_vec(), strides: strides.to_vec(), sizes: size.to_vec() }),
+            Some(view_at(&a, x0)),
+            Some(view_at(&b, x0)),
+        ];
+        let ctx = ChunkCtx { coords: &[x0], len, inner: 0, bufs: &bufs };
+        for kernel in [&k, &opt] {
+            for level in available_simd_levels() {
+                let mut regs = RegFile::new();
+                regs.set_simd(level);
+                eval_kernel(kernel, &ctx, &mut regs);
+                for i in 0..len {
+                    let ra = (a[i].round() as i64).clamp(org[0], org[0] + size[0] - 1);
+                    let rb = (b[i].round() as i64).clamp(org[2], org[2] + size[2] - 1);
+                    let ry = (q * (x0 + i as i64) + o).div_euclid(m);
+                    let flat = (ra - org[0]) * strides[0] + (ry - org[1]) * strides[1] + rb - org[2];
+                    prop_assert_eq!(regs.reg(RegId(2))[i].to_bits(), data[flat as usize].to_bits());
+                }
+            }
+        }
+    }
+
+    /// Lane-varying floor and ceil equal `f32::floor`/`f32::ceil` bit for
+    /// bit at every level, on values spanning ties, signed zeros,
+    /// subnormals and the 2²³ threshold.
+    #[test]
+    fn floor_ceil_match_scalar(
+        vals in proptest::collection::vec(-9.0e6f32..9.0e6, 1..129),
+        scale in prop_oneof![Just(1.0f32), Just(1.0e-6), Just(1.0e-39), Just(0.5)],
+    ) {
+        let data: Vec<f32> = vals.iter().map(|v| v * scale).collect();
+        let len = data.len();
+        let k = Kernel {
+            ops: vec![
+                Op::Load {
+                    dst: RegId(0),
+                    buf: BufId(0),
+                    plan: vec![IdxPlan::Affine { dim: Some(0), q: 1, o: 0, m: 1 }],
+                },
+                Op::UnF { op: UnF::Floor, dst: RegId(1), a: RegId(0) },
+                Op::UnF { op: UnF::Ceil, dst: RegId(2), a: RegId(0) },
+            ],
+            nregs: 3,
+            meta: None,
+            outs: vec![RegId(1), RegId(2)],
+        };
+        let (origin, strides, sizes) = view_1d(&data);
+        let ctx = ChunkCtx {
+            coords: &[0],
+            len,
+            inner: 0,
+            bufs: &[Some(BufView { data: &data, origin, strides, sizes })],
+        };
+        for level in available_simd_levels() {
+            let mut regs = RegFile::new();
+            regs.set_simd(level);
+            eval_kernel(&k, &ctx, &mut regs);
+            for (i, &v) in data.iter().enumerate() {
+                prop_assert_eq!(regs.reg(RegId(1))[i].to_bits(), v.floor().to_bits());
+                prop_assert_eq!(regs.reg(RegId(2))[i].to_bits(), v.ceil().to_bits());
+            }
         }
     }
 }

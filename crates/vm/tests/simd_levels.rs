@@ -12,10 +12,11 @@
 
 use polymage_vm::*;
 
-/// Adversarial lane values: exercises NaN propagation/ordering, signed
-/// zeros, infinities, denormals, round-half-away ties, and saturation
-/// boundaries.
-const SPECIALS: [f32; 16] = [
+/// Adversarial lane values: exercises NaN propagation/ordering (quiet and
+/// signaling payloads of either sign), signed zeros, infinities, denormals,
+/// round-half-away ties, saturation boundaries, and both sides of the 2²³
+/// integral threshold of the rounding sequences.
+const SPECIALS: [f32; 25] = [
     0.0,
     -0.0,
     1.0,
@@ -30,8 +31,17 @@ const SPECIALS: [f32; 16] = [
     f32::INFINITY,
     f32::NEG_INFINITY,
     f32::MIN_POSITIVE,
-    1.0e-40,   // denormal
-    8388609.0, // 2^23 + 1: already integral, "big" path of round
+    1.0e-40,                     // denormal
+    8388609.0,                   // 2^23 + 1: already integral, "big" path of round
+    f32::from_bits(0x7f80_0001), // signaling NaN, smallest payload
+    f32::from_bits(0xffa0_0005), // negative signaling NaN with payload
+    f32::from_bits(0x7fc1_2345), // quiet NaN with payload
+    -1.0e-40,                    // negative denormal
+    8388607.0,                   // 2^23 - 1
+    -8388607.0,                  // -(2^23 - 1)
+    -8388609.0,                  // -(2^23 + 1)
+    4194303.5,                   // tie just below the 2^23 threshold
+    -0.49999997,                 // largest magnitude below a -0.5 tie
 ];
 
 /// Fills a CHUNK-sized buffer cycling through the special values, offset
@@ -127,6 +137,16 @@ fn all_ops_kernel() -> Kernel {
             a: RegId(0),
             lo: 0.0,
             hi: 255.0,
+        },
+        Op::UnF {
+            op: UnF::Floor,
+            dst: RegId(n + 6),
+            a: RegId(0),
+        },
+        Op::UnF {
+            op: UnF::Ceil,
+            dst: RegId(n + 7),
+            a: RegId(1),
         },
     ] {
         ops.push(op);
@@ -356,4 +376,488 @@ fn level_clamping_and_counters() {
         available_simd_levels().contains(&eff),
         "clamped level {eff} must be available"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Data-dependent indexing: gathers and the reduction scatter.
+// ---------------------------------------------------------------------------
+
+/// Adversarial index values for a register dimension clamped to
+/// `[org, org + size − 1]`: NaN payloads, infinities, ties of either sign,
+/// magnitudes at and beyond 2³¹, values on and one past either bound, and
+/// ties that round past a bound.
+fn index_specials(org: i64, size: i64) -> Vec<f32> {
+    let (lo, hi) = (org as f32, (org + size - 1) as f32);
+    let mut v = vec![
+        f32::NAN,
+        f32::from_bits(0x7f80_0001),
+        f32::from_bits(0xffc0_0007),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        1.5,
+        -1.5,
+        2.5,
+        -2.5,
+        0.49999997,
+        1.0e-40,
+        -1.0e-40,
+        2147483648.0,
+        -2147483648.0,
+        2147483520.0,
+        -2147483520.0,
+        3.0e9,
+        -3.0e9,
+        1.0e20,
+        -1.0e20,
+        f32::MAX,
+        f32::MIN,
+        8388609.0,
+        -8388609.0,
+    ];
+    v.extend([
+        lo,
+        hi,
+        lo - 1.0,
+        hi + 1.0,
+        lo - 0.5,
+        hi + 0.5,
+        lo + 0.5,
+        hi - 0.5,
+        lo - 1.5,
+        hi + 1.5,
+    ]);
+    v
+}
+
+/// `n` lanes cycling through `vals` with step `step` from `offset`.
+fn cycle(vals: &[f32], n: usize, step: usize, offset: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| vals[(i * step + offset) % vals.len()])
+        .collect()
+}
+
+/// A 1-D view whose element 0 sits at coordinate `x0`.
+fn view_at(d: &[f32], x0: i64) -> BufView<'_> {
+    BufView {
+        data: d,
+        origin: vec![x0],
+        strides: vec![1],
+        sizes: vec![d.len() as i64],
+    }
+}
+
+/// Gather kernel over a 1-D chunk domain: `r0`, `r1` load index lanes
+/// from buffers 1 and 2, then `r2 = buf0[plan]`.
+fn gather_kernel(plan: Vec<IdxPlan>) -> Kernel {
+    let contig = || {
+        vec![IdxPlan::Affine {
+            dim: Some(0),
+            q: 1,
+            o: 0,
+            m: 1,
+        }]
+    };
+    Kernel {
+        ops: vec![
+            Op::Load {
+                dst: RegId(0),
+                buf: BufId(1),
+                plan: contig(),
+            },
+            Op::Load {
+                dst: RegId(1),
+                buf: BufId(2),
+                plan: contig(),
+            },
+            Op::Load {
+                dst: RegId(2),
+                buf: BufId(0),
+                plan,
+            },
+        ],
+        nregs: 3,
+        meta: None,
+        outs: vec![RegId(2)],
+    }
+}
+
+/// The kernel as given (evaluated through the legacy per-op loads) and
+/// optimized (evaluated through the row-resolved load classes).
+fn both_paths(k: Kernel) -> [Kernel; 2] {
+    let mut opt = k.clone();
+    optimize_kernel(&mut opt, 1, &[None], "gather".into());
+    assert!(opt.meta.is_some(), "optimizer attached no metadata");
+    [k, opt]
+}
+
+/// Output bits of `k` over the chunk `[x0, x0 + len)`.
+fn gather_bits(
+    k: &Kernel,
+    bufs: &[Option<BufView<'_>>],
+    x0: i64,
+    len: usize,
+    level: SimdLevel,
+) -> Vec<u32> {
+    let ctx = ChunkCtx {
+        coords: &[x0],
+        len,
+        inner: 0,
+        bufs,
+    };
+    let mut regs = RegFile::new();
+    regs.set_simd(level);
+    eval_kernel(k, &ctx, &mut regs);
+    regs.reg(k.out())[..len]
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// The reference semantics of a register index: round half away from
+/// zero, saturate to i64 (NaN → 0), clamp into `[org, org + size − 1]`.
+fn naive_reg_index(v: f32, org: i64, size: i64) -> i64 {
+    (v.round() as i64).clamp(org, org + size - 1)
+}
+
+/// The 3-D gather target: origins all negative, element `i` holds a
+/// distinct value so any index difference shows in the output bits.
+const GRID_ORG: [i64; 3] = [-4, -150, -2];
+const GRID_SIZE: [i64; 3] = [6, 300, 5];
+
+fn grid_data() -> Vec<f32> {
+    let n = GRID_SIZE.iter().product::<i64>() as usize;
+    (0..n).map(|i| i as f32 * 0.25 - 7.0).collect()
+}
+
+fn grid_view(data: &[f32]) -> BufView<'_> {
+    BufView {
+        data,
+        origin: GRID_ORG.to_vec(),
+        strides: vec![GRID_SIZE[1] * GRID_SIZE[2], GRID_SIZE[2], 1],
+        sizes: GRID_SIZE.to_vec(),
+    }
+}
+
+/// Gathers with two register dimensions around an affine chunk-axis term
+/// `(q·x + o) div m`, for m ∈ {2, 3, 8}, q ∈ {1, 2}, negative `o` and every
+/// remainder of the chunk start, at every tail length 1..=CHUNK and
+/// through both evaluation paths: every level is bit-identical to scalar.
+#[test]
+fn gathers_bit_identical_on_adversarial_indices() {
+    let data = grid_data();
+    let ia = index_specials(GRID_ORG[0], GRID_SIZE[0]);
+    let ib = index_specials(GRID_ORG[2], GRID_SIZE[2]);
+    let a = cycle(&ia, CHUNK, 1, 0);
+    let b = cycle(&ib, CHUNK, 7, 3);
+    for m in [2i64, 3, 8] {
+        for q in [1i64, 2] {
+            for o in [-1i64, -7, -20] {
+                let plan = vec![
+                    IdxPlan::Reg(RegId(0)),
+                    IdxPlan::Affine {
+                        dim: Some(0),
+                        q,
+                        o,
+                        m,
+                    },
+                    IdxPlan::Reg(RegId(1)),
+                ];
+                // Smallest chunk start whose first lane is in range.
+                let first = (GRID_ORG[1] * m - o + q - 1).div_euclid(q);
+                for k in both_paths(gather_kernel(plan)) {
+                    for shift in 0..m {
+                        let x0 = first + shift;
+                        let bufs = [
+                            Some(grid_view(&data)),
+                            Some(view_at(&a, x0)),
+                            Some(view_at(&b, x0)),
+                        ];
+                        for len in 1..=CHUNK {
+                            let want = gather_bits(&k, &bufs, x0, len, SimdLevel::Scalar);
+                            for (i, &w) in want.iter().enumerate() {
+                                let x = x0 + i as i64;
+                                let (ra, rb) = (
+                                    naive_reg_index(a[i], GRID_ORG[0], GRID_SIZE[0]),
+                                    naive_reg_index(b[i], GRID_ORG[2], GRID_SIZE[2]),
+                                );
+                                let ry = (q * x + o).div_euclid(m);
+                                let flat = ((ra - GRID_ORG[0]) * GRID_SIZE[1] + ry - GRID_ORG[1])
+                                    * GRID_SIZE[2]
+                                    + rb
+                                    - GRID_ORG[2];
+                                assert_eq!(w, data[flat as usize].to_bits(), "scalar lane {i}");
+                            }
+                            for level in available_simd_levels() {
+                                let got = gather_bits(&k, &bufs, x0, len, level);
+                                assert_eq!(
+                                    want,
+                                    got,
+                                    "level {level}: m {m} q {q} o {o} x0 {x0} len {len} meta {}",
+                                    k.meta.is_some()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Register-only gathers (no chunk-axis term), the index register on the
+/// outer or the inner dimension: bit-identical at every level and tail.
+#[test]
+fn register_only_gathers_bit_identical() {
+    let data = grid_data();
+    let ia = index_specials(GRID_ORG[0], GRID_SIZE[0]);
+    let ib = index_specials(GRID_ORG[2], GRID_SIZE[2]);
+    let a = cycle(&ia, CHUNK, 3, 1);
+    let b = cycle(&ib, CHUNK, 5, 2);
+    let plans = [
+        vec![
+            IdxPlan::Reg(RegId(0)),
+            IdxPlan::Affine {
+                dim: None,
+                q: 0,
+                o: 17,
+                m: 1,
+            },
+            IdxPlan::Reg(RegId(1)),
+        ],
+        vec![
+            IdxPlan::Affine {
+                dim: None,
+                q: 0,
+                o: -3,
+                m: 1,
+            },
+            IdxPlan::Affine {
+                dim: None,
+                q: 0,
+                o: -150,
+                m: 1,
+            },
+            IdxPlan::Reg(RegId(1)),
+        ],
+    ];
+    for plan in plans {
+        for k in both_paths(gather_kernel(plan)) {
+            let bufs = [
+                Some(grid_view(&data)),
+                Some(view_at(&a, 0)),
+                Some(view_at(&b, 0)),
+            ];
+            for len in 1..=CHUNK {
+                let want = gather_bits(&k, &bufs, 0, len, SimdLevel::Scalar);
+                for level in available_simd_levels() {
+                    assert_eq!(
+                        want,
+                        gather_bits(&k, &bufs, 0, len, level),
+                        "level {level} len {len}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// An affine chunk-axis index that leaves the buffer panics at every
+/// level, through both paths — below the first element and past the last.
+#[test]
+fn out_of_range_chunk_axis_gathers_panic_at_every_level() {
+    let data = grid_data();
+    let zeros = vec![0.0f32; CHUNK];
+    // The chunk axis drives the outermost dimension, so leaving it leaves
+    // the buffer: x ∈ [x0, x0 + len) maps to (x − 2) div 2.
+    let plan = vec![
+        IdxPlan::Affine {
+            dim: Some(0),
+            q: 1,
+            o: -2,
+            m: 2,
+        },
+        IdxPlan::Reg(RegId(0)),
+        IdxPlan::Reg(RegId(1)),
+    ];
+    for k in both_paths(gather_kernel(plan)) {
+        // Below: lane 0 sits at grid row -5 (< origin -4). Above: the last
+        // lanes reach row 2 (> last row 1).
+        for (x0, len) in [(-8i64, 9usize), (-6, 16)] {
+            let bufs = [
+                Some(grid_view(&data)),
+                Some(view_at(&zeros, x0)),
+                Some(view_at(&zeros, x0)),
+            ];
+            for level in available_simd_levels() {
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    gather_bits(&k, &bufs, x0, len, level)
+                }));
+                assert!(
+                    r.is_err(),
+                    "level {level} x0 {x0}: out-of-range gather did not panic"
+                );
+            }
+        }
+    }
+    // A register index clamped to the last row and a chunk-axis column one
+    // past the row's end: the last lane reads exactly one element past the
+    // end of a 2-D buffer, inside a full 8-lane block.
+    let (rows, cols) = (6i64, 300i64);
+    let flat2d = &data[..(rows * cols) as usize];
+    let high = vec![1.0e9f32; CHUNK];
+    let plan = vec![
+        IdxPlan::Reg(RegId(0)),
+        IdxPlan::Affine {
+            dim: Some(0),
+            q: 1,
+            o: 0,
+            m: 1,
+        },
+    ];
+    for k in both_paths(gather_kernel(plan)) {
+        let x0 = -150 + cols - 7;
+        let bufs = [
+            Some(BufView {
+                data: flat2d,
+                origin: vec![-4, -150],
+                strides: vec![cols, 1],
+                sizes: vec![rows, cols],
+            }),
+            Some(view_at(&high, x0)),
+            Some(view_at(&high, x0)),
+        ];
+        for len in [8usize, 9] {
+            for level in available_simd_levels() {
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    gather_bits(&k, &bufs, x0, len, level)
+                }));
+                assert!(r.is_err(), "level {level} len {len}: read one past the end");
+            }
+        }
+    }
+}
+
+/// A reduction scattering `value(x, y)` into a 2-D output with negative
+/// origins, at target `(round(ia), round(ib))` clamped per lane: every
+/// level produces bit-identical output cells for every chunk length.
+#[test]
+fn reduction_scatter_bit_identical_on_adversarial_indices() {
+    use polymage_ir::Reduction;
+    use polymage_poly::Rect;
+    let (org, size) = ([-3i64, -2], [5i64, 7]);
+    let ia = index_specials(org[0], size[0]);
+    let ib = index_specials(org[1], size[1]);
+    let rows = 3i64;
+    let contig2 = || {
+        vec![
+            IdxPlan::Affine {
+                dim: Some(0),
+                q: 1,
+                o: 0,
+                m: 1,
+            },
+            IdxPlan::Affine {
+                dim: Some(1),
+                q: 1,
+                o: 0,
+                m: 1,
+            },
+        ]
+    };
+    for len in 1..=CHUNK as i64 {
+        let prog = |level: SimdLevel| Program {
+            name: "scatter".into(),
+            buffers: vec![
+                BufDecl {
+                    name: "ia".into(),
+                    kind: BufKind::Full,
+                    sizes: vec![rows, len],
+                    origin: vec![0, 0],
+                },
+                BufDecl {
+                    name: "ib".into(),
+                    kind: BufKind::Full,
+                    sizes: vec![rows, len],
+                    origin: vec![0, 0],
+                },
+                BufDecl {
+                    name: "out".into(),
+                    kind: BufKind::Full,
+                    sizes: size.to_vec(),
+                    origin: org.to_vec(),
+                },
+            ],
+            image_bufs: vec![BufId(0), BufId(1)],
+            groups: vec![GroupExec {
+                name: "scatter".into(),
+                kind: GroupKind::Reduction(ReductionExec {
+                    name: "scatter".into(),
+                    out: BufId(2),
+                    red_dom: Rect::new(vec![(0, rows - 1), (0, len - 1)]),
+                    kernel: Kernel {
+                        ops: vec![
+                            Op::CoordF {
+                                dst: RegId(0),
+                                dim: 1,
+                            },
+                            Op::Load {
+                                dst: RegId(1),
+                                buf: BufId(0),
+                                plan: contig2(),
+                            },
+                            Op::Load {
+                                dst: RegId(2),
+                                buf: BufId(1),
+                                plan: contig2(),
+                            },
+                        ],
+                        nregs: 3,
+                        meta: None,
+                        outs: vec![RegId(0), RegId(1), RegId(2)],
+                    },
+                    op: Reduction::Sum,
+                    reads: vec![BufId(0), BufId(1)],
+                }),
+            }],
+            outputs: vec![("out".into(), BufId(2))],
+            mode: EvalMode::Vector,
+            simd: level,
+            storage: StoragePlan::run_scoped(3),
+        };
+        let plane = |vals: &[f32], step: usize| {
+            let cells = cycle(vals, (rows * len) as usize, step, len as usize);
+            Buffer::zeros(Rect::new(vec![(0, rows - 1), (0, len - 1)]))
+                .fill_with(|p| cells[(p[0] * len + p[1]) as usize])
+        };
+        let inputs = [plane(&ia, 1), plane(&ib, 3)];
+        let bits = |level: SimdLevel| -> Vec<u32> {
+            run_program(&prog(level), &inputs, 1).unwrap()[0]
+                .data
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let want = bits(SimdLevel::Scalar);
+        let mut naive = vec![0.0f32; (size[0] * size[1]) as usize];
+        for y in 0..rows {
+            for x in 0..len {
+                let i = (y * len + x) as usize;
+                let (ra, rb) = (
+                    naive_reg_index(inputs[0].data[i], org[0], size[0]),
+                    naive_reg_index(inputs[1].data[i], org[1], size[1]),
+                );
+                let cell = &mut naive[((ra - org[0]) * size[1] + rb - org[1]) as usize];
+                *cell = (*cell as f64 + x as f64) as f32;
+            }
+        }
+        let naive: Vec<u32> = naive.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(want, naive, "scalar scatter len {len}");
+        for level in available_simd_levels() {
+            assert_eq!(want, bits(level), "level {level} len {len}");
+        }
+    }
 }
