@@ -15,15 +15,6 @@ fn bits(bufs: &[polymage_vm::Buffer]) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn as_opt(level: SimdLevel) -> SimdOpt {
-    match level {
-        SimdLevel::Scalar => SimdOpt::Off,
-        SimdLevel::Sse2 => SimdOpt::Sse2,
-        SimdLevel::Avx2 => SimdOpt::Avx2,
-        SimdLevel::Neon => SimdOpt::Neon,
-    }
-}
-
 #[test]
 fn simd_bit_exact_all_benchmarks_all_schedules() {
     // A POLYMAGE_SIMD override wins over `with_simd`, forcing every
@@ -32,7 +23,7 @@ fn simd_bit_exact_all_benchmarks_all_schedules() {
     // level and seeing whether it sticks.
     let forced = polymage_vm::available_simd_levels()
         .into_iter()
-        .any(|l| polymage_vm::resolve_simd(as_opt(l)) != l);
+        .any(|l| polymage_vm::resolve_simd(SimdOpt::from(l)) != l);
     if forced {
         eprintln!("skipped: POLYMAGE_SIMD overrides per-compile levels");
         return;
@@ -58,7 +49,7 @@ fn simd_bit_exact_all_benchmarks_all_schedules() {
                 .into_iter()
                 .collect();
             for level in polymage_vm::available_simd_levels() {
-                let c = compile(b.pipeline(), &opts.clone().with_simd(as_opt(level)))
+                let c = compile(b.pipeline(), &opts.clone().with_simd(SimdOpt::from(level)))
                     .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
                 assert_eq!(c.report.simd, level);
                 for (ti, threads) in [1usize, 2, 4].into_iter().enumerate() {

@@ -9,15 +9,22 @@
 //!   at every SIMD level the host supports — the per-lane dispatch cost
 //!   with no scheduler, store, or memory-allocation term. This is the
 //!   ≥1.5× geomean claim in EXPERIMENTS.md §SIMD.
+//! - `strided_upsample`: one 3-channel `UChar` stage
+//!   `up(y, x, c) = I(y, x/2, c)·1.5 + 0.25` run end to end at every SIMD
+//!   level — chunks along `x` store with stride 3 (saturate and round) and
+//!   load with a floor divisor, the path Camera, Unsharp and the pyramid
+//!   apps take for their channel and upsampling stages.
 //!
 //! Numbers go into EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polymage_apps::{all_benchmarks, Scale};
 use polymage_core::{compile, CompileOptions, SimdOpt};
+use polymage_ir::{Case, Expr, Interval, PAff, Pipeline, PipelineBuilder, ScalarType};
+use polymage_poly::Rect;
 use polymage_vm::{
-    available_simd_levels, eval_kernel, BinF, BufId, BufView, ChunkCtx, CmpF, Engine, IdxPlan,
-    Kernel, Op, RegFile, RegId, RunRequest, CHUNK,
+    available_simd_levels, eval_kernel, BinF, BufId, BufView, Buffer, ChunkCtx, CmpF, Engine,
+    IdxPlan, Kernel, Op, RegFile, RegId, RunRequest, CHUNK,
 };
 
 fn bench_kernel_opt(c: &mut Criterion) {
@@ -245,5 +252,53 @@ fn bench_simd_eval(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_kernel_opt, bench_simd_eval);
+/// `up(y, x, c) = I(y, x/2, c)·1.5 + 0.25` as `UChar` over `rows` rows,
+/// `2·cols` columns and 3 channels.
+fn upsample_pipeline(rows: i64, cols: i64) -> Pipeline {
+    let mut p = PipelineBuilder::new("strided_upsample");
+    let img = p.image(
+        "I",
+        ScalarType::Float,
+        vec![PAff::cst(rows), PAff::cst(cols), PAff::cst(3)],
+    );
+    let (y, x, c) = (p.var("y"), p.var("x"), p.var("c"));
+    let up = p.func(
+        "up",
+        &[
+            (y, Interval::cst(0, rows - 1)),
+            (x, Interval::cst(0, 2 * cols - 1)),
+            (c, Interval::cst(0, 2)),
+        ],
+        ScalarType::UChar,
+    );
+    let src = Expr::at(img, [Expr::from(y), Expr::from(x) / 2, Expr::from(c)]);
+    p.define(up, vec![Case::always(src * 1.5 + 0.25)]).unwrap();
+    p.finish(&[up]).unwrap()
+}
+
+fn bench_strided(c: &mut Criterion) {
+    let (rows, cols) = (64i64, 256i64);
+    let pipe = upsample_pipeline(rows, cols);
+    let input = Buffer::zeros(Rect::new(vec![(0, rows - 1), (0, cols - 1), (0, 2)]))
+        .fill_with(|p| ((p[0] * 31 + p[1] * 7 + p[2] * 3) % 200) as f32 - 20.0);
+    let inputs = [input];
+    let engine = Engine::with_threads(1);
+    let mut g = c.benchmark_group("strided_upsample");
+    for level in available_simd_levels() {
+        let opts = CompileOptions::optimized(vec![]).with_simd(SimdOpt::from(level));
+        let compiled = compile(&pipe, &opts).unwrap_or_else(|e| panic!("strided_upsample: {e}"));
+        g.bench_function(BenchmarkId::from_parameter(level.name()), |bench| {
+            bench.iter(|| {
+                engine
+                    .submit(RunRequest::new(&compiled.program, &inputs).threads(1))
+                    .unwrap()
+                    .join()
+                    .unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_kernel_opt, bench_simd_eval, bench_strided);
 criterion_main!(benches);

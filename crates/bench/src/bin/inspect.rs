@@ -85,7 +85,7 @@ fn main() {
         let simplified: usize = r.kernels.iter().map(|k| k.simplified).sum();
         println!(
             "optimizer: {} kernels, {} ops eliminated ({} folded, {} simplified), \
-             {} regs eliminated, loads [{}]",
+             {} regs eliminated, nominal-axis loads [{}]",
             r.kernels.len(),
             r.ops_eliminated(),
             folded,

@@ -153,7 +153,13 @@ impl CompileReport {
         self.kernels.iter().map(|k| k.eliminated_regs()).sum()
     }
 
-    /// Load-class histogram merged over all kernels.
+    /// Load-class histogram merged over all kernels, classified against
+    /// each kernel's nominal (innermost) chunk axis. Regions whose
+    /// innermost extent is short are chunked along another axis at run
+    /// time — Local Laplacian's 3-D stages along `y`, where these
+    /// "contiguous" loads stride by the level count — so the runtime
+    /// `vm.loadclass.*` counters ([`polymage_vm::RunStats::loads`]) can
+    /// disagree with this compile-time estimate.
     pub fn load_histogram(&self) -> polymage_vm::LoadHistogram {
         let mut h = polymage_vm::LoadHistogram::default();
         for k in &self.kernels {
@@ -230,7 +236,7 @@ impl fmt::Display for CompileReport {
         if !self.kernels.is_empty() {
             writeln!(
                 f,
-                "kernel opt: {} ops / {} regs eliminated, loads [{}]",
+                "kernel opt: {} ops / {} regs eliminated, nominal-axis loads [{}]",
                 self.ops_eliminated(),
                 self.regs_eliminated(),
                 self.load_histogram()

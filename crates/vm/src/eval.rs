@@ -762,51 +762,42 @@ fn load_chunk(
         }
         return;
     }
-    if reg_dims.is_empty() {
-        match inner_aff {
-            None => {
-                // Fully scalar: broadcast one element.
-                let v = view.data[base as usize];
-                regs.regs[d][..len].fill(v);
-            }
-            Some((q, o, m, stride)) => {
-                let x0 = ctx.coords[ctx.inner];
-                if q == 1 && m == 1 && stride == 1 {
-                    // Contiguous fast path.
-                    let start = base + (x0 + o) - view.origin[inner_dim_of(plan, ctx.inner)];
-                    debug_assert!(start >= 0);
-                    let start = start as usize;
-                    regs.regs[d][..len].copy_from_slice(&view.data[start..start + len]);
-                } else {
-                    let org = view.origin[inner_dim_of(plan, ctx.inner)];
-                    let dreg = &mut regs.regs[d];
-                    for (i, v) in dreg[..len].iter_mut().enumerate() {
-                        let idx = (q * (x0 + i as i64) + o).div_euclid(m) - org;
-                        *v = view.data[(base + idx * stride) as usize];
-                    }
-                }
-            }
+    match inner_aff {
+        None if reg_dims.is_empty() => {
+            // Fully scalar: broadcast one element.
+            let v = view.data[base as usize];
+            regs.regs[d][..len].fill(v);
         }
-    } else {
-        // General gather: data-dependent dims from registers.
-        let axis = inner_aff.map(|(q, o, m, stride)| simd::AxisTerm {
-            x0: ctx.coords[ctx.inner],
-            q,
-            o,
-            m,
-            stride,
-            org: view.origin[inner_dim_of(plan, ctx.inner)],
-        });
-        let lvl = regs.simd;
-        // SSA: index registers precede the destination.
-        let (srcs, rest) = regs.regs.split_at_mut(d);
-        let acc = simd::Access {
-            regs: srcs,
-            base,
-            dims: &reg_dims,
-            axis,
-        };
-        simd::gather(lvl, &mut rest[0].0, view.data, &acc, len);
+        Some((1, o, 1, 1)) if reg_dims.is_empty() => {
+            // Contiguous fast path.
+            let x0 = ctx.coords[ctx.inner];
+            let start = base + (x0 + o) - view.origin[inner_dim_of(plan, ctx.inner)];
+            debug_assert!(start >= 0);
+            let start = start as usize;
+            regs.regs[d][..len].copy_from_slice(&view.data[start..start + len]);
+        }
+        _ => {
+            // Everything else is a gather: data-dependent dims from
+            // registers and/or a strided, floor-divided chunk-axis term.
+            let axis = inner_aff.map(|(q, o, m, stride)| simd::AxisTerm {
+                x0: ctx.coords[ctx.inner],
+                q,
+                o,
+                m,
+                stride,
+                org: view.origin[inner_dim_of(plan, ctx.inner)],
+            });
+            let lvl = regs.simd;
+            // SSA: index registers precede the destination.
+            let (srcs, rest) = regs.regs.split_at_mut(d);
+            let acc = simd::Access {
+                regs: srcs,
+                base,
+                dims: &reg_dims,
+                axis,
+            };
+            simd::gather(lvl, &mut rest[0].0, view.data, &acc, len);
+        }
     }
 }
 

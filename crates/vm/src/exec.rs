@@ -383,6 +383,7 @@ fn eval_cases_into(
         EvalMode::Vector => CHUNK,
         EvalMode::Scalar => 1,
     };
+    let mut tmp = [0.0f32; CHUNK];
     for case in cases {
         let rect = case.rect.intersect(region);
         if rect.is_empty() {
@@ -398,7 +399,6 @@ fn eval_cases_into(
         // chunk axis at run time).
         let axis = chunk_axis(&vrect);
         let dest = StoreDest::new(&mut *data, origin, buf_strides, &case.steps);
-        let axis_contig = dest.strides[axis] == 1;
         let (xlo, xhi) = vrect.range(axis);
         for_each_row(&vrect, axis, &mut |coords| {
             regs.begin_row();
@@ -415,49 +415,65 @@ fn eval_cases_into(
                 eval_kernel(&case.kernel, &ctx, regs);
                 local.chunks += 1;
                 local.points += len as u64;
-                let base = dest.flat(coords);
-                let lvl = regs.simd_level();
+                // Borrow only the live lanes — lanes at or beyond `len`
+                // may hold stale values from earlier chunks.
                 let out = &regs.reg(case.kernel.out())[..len];
-                match case.mask {
-                    None if axis_contig => {
-                        let dst = &mut dest.data[base..base + len];
-                        store_lanes(lvl, dst, out, sat, round);
-                    }
-                    None => {
-                        let st = dest.strides[axis] as usize;
-                        for (i, &v) in out.iter().enumerate().take(len) {
-                            dest.data[base + i * st] = transform(v, sat, round);
-                        }
-                    }
-                    Some(m) => {
-                        let st = dest.strides[axis];
-                        // Borrow only the live lanes — lanes at or beyond
-                        // `len` may hold stale values from earlier chunks.
-                        let mask = &regs.reg(m)[..len];
-                        for (i, (&mv, &v)) in mask.iter().zip(out).enumerate() {
-                            if mv != 0.0 {
-                                dest.data[(base as i64 + i as i64 * st) as usize] =
-                                    transform(v, sat, round);
-                            }
-                        }
-                    }
-                }
+                let mask = case.mask.map(|m| &regs.reg(m)[..len]);
+                let base = dest.flat(coords) as i64;
+                let lvl = regs.simd_level();
+                let stride = dest.strides[axis];
+                store_chunk(
+                    lvl, dest.data, base, stride, out, mask, sat, round, &mut tmp,
+                );
                 x += len as i64;
             }
         });
     }
 }
 
-#[inline]
-fn transform(v: f32, sat: Option<(f32, f32)>, round: bool) -> f32 {
-    let v = match sat {
-        Some((lo, hi)) => v.clamp(lo, hi),
-        None => v,
-    };
-    if round {
-        v.round()
+/// Stores one chunk: lane `i` lands at `data[base + i·stride]`, saturated
+/// and rounded per the stage's type; lanes whose `mask` is zero are left
+/// untouched. Saturation and rounding run once over the whole chunk in
+/// the vector [`store_lanes`] — straight into `data` when the chunk is
+/// contiguous and unmasked, otherwise into `tmp` ahead of a plain strided
+/// copy — so no lane pays a scalar `f32::round`.
+#[allow(clippy::too_many_arguments)]
+fn store_chunk(
+    lvl: crate::SimdLevel,
+    data: &mut [f32],
+    base: i64,
+    stride: i64,
+    out: &[f32],
+    mask: Option<&[f32]>,
+    sat: Option<(f32, f32)>,
+    round: bool,
+    tmp: &mut [f32; CHUNK],
+) {
+    let len = out.len();
+    if mask.is_none() && stride == 1 {
+        let base = base as usize;
+        store_lanes(lvl, &mut data[base..base + len], out, sat, round);
+        return;
+    }
+    let vals = if sat.is_none() && !round {
+        out
     } else {
-        v
+        store_lanes(lvl, &mut tmp[..len], out, sat, round);
+        &tmp[..len]
+    };
+    match mask {
+        None => {
+            for (i, &v) in vals.iter().enumerate() {
+                data[(base + i as i64 * stride) as usize] = v;
+            }
+        }
+        Some(mask) => {
+            for (i, (&m, &v)) in mask.iter().zip(vals).enumerate() {
+                if m != 0.0 {
+                    data[(base + i as i64 * stride) as usize] = v;
+                }
+            }
+        }
     }
 }
 
@@ -1110,7 +1126,6 @@ pub(crate) fn execute_seq(
     let mut regs = RegFile::new();
     regs.set_simd(prog.simd);
     let mut tmp = [0.0f32; CHUNK];
-    let mut tmp_mask = [0.0f32; CHUNK];
     for case in &seq.cases {
         let rect = case.rect.intersect(&seq.dom);
         if rect.is_empty() {
@@ -1155,21 +1170,25 @@ pub(crate) fn execute_seq(
                         bufs: &views,
                     };
                     eval_kernel(&case.kernel, &ctx, &mut regs);
-                    tmp[..len].copy_from_slice(&regs.reg(case.kernel.out())[..len]);
-                    if let Some(m) = case.mask {
-                        tmp_mask[..len].copy_from_slice(&regs.reg(m)[..len]);
-                    }
                 }
                 let mut base = offset;
                 for d in 0..n {
                     base += coords[d] * vstrides[d];
                 }
-                for i in 0..len {
-                    if case.mask.is_none() || tmp_mask[i] != 0.0 {
-                        out_vec[(base + i as i64 * vstrides[n - 1]) as usize] =
-                            transform(tmp[i], seq.sat, seq.round);
-                    }
-                }
+                let out = &regs.reg(case.kernel.out())[..len];
+                let mask = case.mask.map(|m| &regs.reg(m)[..len]);
+                let (lvl, stride) = (regs.simd_level(), vstrides[n - 1]);
+                store_chunk(
+                    lvl,
+                    &mut out_vec,
+                    base,
+                    stride,
+                    out,
+                    mask,
+                    seq.sat,
+                    seq.round,
+                    &mut tmp,
+                );
                 x += len as i64;
             }
         });

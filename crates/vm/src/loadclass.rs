@@ -11,18 +11,28 @@
 //! - **contiguous** — unit-stride along the chunk axis (`q == 1, m == 1`,
 //!   innermost buffer dimension): a straight `copy_from_slice`;
 //! - **constant-stride** — a single affine dimension varies along the
-//!   chunk axis: one strided loop;
+//!   chunk axis, `(q·x + o) div m`: with `m == 1` a hardware gather at
+//!   the constant step ([`crate::simd::strided_load`], AVX2) when every
+//!   index is in bounds; a floor divisor, or an index that wrapper cannot
+//!   prove, is an axis-only [`crate::simd::gather`] (a stepped quotient
+//!   with no per-lane division, `vgatherdps` where proven, otherwise the
+//!   bounds-checked load, which panics on an out-of-range index);
 //! - **gather** — data-dependent register indices, rounded and clamped
 //!   per lane by [`crate::simd::gather`] (a hardware gather on AVX2);
 //! - **diagonal** — two or more affine dimensions vary along the chunk
-//!   axis (accesses like `g(x, x)`).
+//!   axis (accesses like `g(x, x)`): the one remaining per-lane loop.
 //!
 //! Every form computes exactly the indices the legacy path computes, so
 //! values are bit-identical.
 //!
 //! [`classify`] is the compile-time counterpart used for reporting: it tags
 //! each load with the class it will take under the nominal chunk axis (the
-//! innermost loop dimension).
+//! innermost loop dimension). The executor picks the chunk axis per region
+//! instead (the innermost dimension with at least 32 points, else the
+//! longest), so a kernel over a short innermost dimension — 3 colour
+//! channels, 8 pyramid levels — runs along an outer axis, where its
+//! "contiguous" loads stride. The runtime resolutions are tallied
+//! separately (`RunStats::loads`, the `vm.loadclass.*` counters).
 
 use crate::eval::{round_ties_away, ChunkCtx, RegFile};
 use crate::simd::{Access, AxisTerm, IndexDim};
@@ -42,7 +52,9 @@ pub enum LoadClass {
     Gather,
 }
 
-/// Histogram of load classes across a kernel or program.
+/// Histogram of load classes across a kernel or program: compile-time
+/// classes under the nominal chunk axis in optimizer reports, runtime
+/// resolutions in [`crate::RunStats::loads`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadHistogram {
     /// Chunk-invariant loads.
@@ -309,9 +321,7 @@ pub(crate) fn exec_resolved(
             let lvl = regs.simd;
             let dreg = &mut regs.regs[d];
             // With no floor division the lane index is affine in the lane
-            // number — a hardware gather (AVX2) loads exactly the elements
-            // the scalar loop would. Other shapes, and any index that the
-            // wrapper cannot prove in-bounds, take the scalar walk.
+            // number: one constant step, a hardware gather on AVX2.
             if m == 1 {
                 let start = base + (q * x0 + o - org) * stride;
                 let step = q * stride;
@@ -319,10 +329,23 @@ pub(crate) fn exec_resolved(
                     return;
                 }
             }
-            for (i, v) in dreg[..len].iter_mut().enumerate() {
-                let idx = (q * (x0 + i as i64) + o).div_euclid(m) - org;
-                *v = view.data[(base + idx * stride) as usize];
-            }
+            // A floor divisor, or an index the wrapper above cannot prove
+            // in bounds: an axis-only gather (stepped quotient, proven
+            // hardware gather or the bounds-checked load).
+            let acc = Access {
+                regs: &[],
+                base,
+                dims: &[],
+                axis: Some(AxisTerm {
+                    x0,
+                    q,
+                    o,
+                    m,
+                    stride,
+                    org,
+                }),
+            };
+            crate::simd::gather(lvl, &mut dreg.0, view.data, &acc, len);
         }
         ResolvedLoad::Gather {
             base,

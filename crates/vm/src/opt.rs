@@ -61,7 +61,10 @@ pub struct KernelOptReport {
     /// Ops that are chunk-invariant under the nominal (innermost) chunk
     /// axis — evaluated once per row instead of per lane.
     pub uniform_ops: usize,
-    /// Load classes under the nominal chunk axis.
+    /// Load classes under the nominal (innermost) chunk axis. The
+    /// executor may chunk a region along another axis (see
+    /// [`LoadHistogram`]); the runtime resolutions are counted in
+    /// [`crate::RunStats::loads`].
     pub loads: LoadHistogram,
 }
 
@@ -81,7 +84,7 @@ impl std::fmt::Display for KernelOptReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}: ops {}→{} (folded {}, simplified {}), regs {}→{}, uniform {}, loads [{}]",
+            "{}: ops {}→{} (folded {}, simplified {}), regs {}→{}, uniform {}, nominal-axis loads [{}]",
             self.name,
             self.ops_before,
             self.ops_after,

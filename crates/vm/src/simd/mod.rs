@@ -30,7 +30,16 @@
 //!   a stepped (division-free) chunk-axis floor division, and on AVX2 a
 //!   hardware gather only when every index is proven in bounds — anything
 //!   unproven takes the bounds-checked scalar load, which panics on an
-//!   out-of-range affine index exactly as before;
+//!   out-of-range affine index exactly as before. Strided loads with a
+//!   floor divisor (`x/2` upsampling) are the same routine with no
+//!   register dimension;
+//! - chunk stores saturate and round through [`store`] once per chunk
+//!   whatever the chunk axis' stride (3-channel and level-innermost
+//!   stages chunk along a strided axis): the executor transforms a
+//!   strided or masked chunk into a temporary, then copies it lane by
+//!   lane. A per-lane `f32::round` there cost an out-of-line `roundf`
+//!   call on every stored lane — in optimized builds even for float
+//!   stages, because the call was hoisted ahead of the rounding test;
 //! - **no FMA contraction is ever emitted** — multiplies and adds remain
 //!   separate instructions, so results match the scalar evaluation exactly;
 //! - `min`/`max` blend around the asymmetric NaN/±0 behavior of
@@ -157,6 +166,18 @@ pub enum SimdOpt {
     Avx2,
     /// Force aarch64 NEON loops.
     Neon,
+}
+
+impl From<SimdLevel> for SimdOpt {
+    /// The option that forces `level` (`Scalar` forces the scalar loops).
+    fn from(level: SimdLevel) -> SimdOpt {
+        match level {
+            SimdLevel::Scalar => SimdOpt::Off,
+            SimdLevel::Sse2 => SimdOpt::Sse2,
+            SimdLevel::Avx2 => SimdOpt::Avx2,
+            SimdLevel::Neon => SimdOpt::Neon,
+        }
+    }
 }
 
 impl SimdOpt {

@@ -291,6 +291,65 @@ proptest! {
         }
     }
 
+    /// Floor-divided strided loads `buf[(q·x + o) div m, c]`, the chunk
+    /// axis driving the outer dimension of a 2-D buffer with negative
+    /// origins (element stride `cols`), for random positive or negative
+    /// `q`, any divisor and chunk start: every level equals the naive
+    /// `div_euclid` indexing, through the legacy and optimized paths.
+    #[test]
+    fn floor_divided_strided_loads_match_naive(
+        q in prop_oneof![-3i64..0, 1i64..4],
+        m in 1i64..9,
+        o in -20i64..6,
+        cols in 1i64..7,
+        shift in 0i64..9,
+        len in 1usize..129,
+    ) {
+        let (org, rows) = ([-150i64, -3], 400i64);
+        let col = org[1] + cols - 1;
+        let data: Vec<f32> = (0..rows * cols).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let row = |x: i64| (q * x + o).div_euclid(m);
+        // Lane 0 at the first row for q > 0 and at the last for q < 0.
+        let start = if q > 0 { org[0] } else { org[0] + rows - 1 };
+        let x0 = (start * m - o).div_euclid(q) + shift;
+        let last = x0 + len as i64 - 1;
+        let in_range = |x: i64| (org[0]..org[0] + rows).contains(&row(x));
+        prop_assume!(in_range(x0) && in_range(last));
+        let k = Kernel {
+            ops: vec![Op::Load {
+                dst: RegId(0),
+                buf: BufId(0),
+                plan: vec![
+                    IdxPlan::Affine { dim: Some(0), q, o, m },
+                    IdxPlan::Affine { dim: None, q: 0, o: col, m: 1 },
+                ],
+            }],
+            nregs: 1,
+            meta: None,
+            outs: vec![RegId(0)],
+        };
+        let mut opt = k.clone();
+        optimize_kernel(&mut opt, 1, &[None], "strided".into());
+        let bufs = [Some(BufView {
+            data: &data,
+            origin: org.to_vec(),
+            strides: vec![cols, 1],
+            sizes: vec![rows, cols],
+        })];
+        let ctx = ChunkCtx { coords: &[x0], len, inner: 0, bufs: &bufs };
+        for kernel in [&k, &opt] {
+            for level in available_simd_levels() {
+                let mut regs = RegFile::new();
+                regs.set_simd(level);
+                eval_kernel(kernel, &ctx, &mut regs);
+                for i in 0..len {
+                    let flat = (row(x0 + i as i64) - org[0]) * cols + col - org[1];
+                    prop_assert_eq!(regs.reg(RegId(0))[i].to_bits(), data[flat as usize].to_bits());
+                }
+            }
+        }
+    }
+
     /// Lane-varying floor and ceil equal `f32::floor`/`f32::ceil` bit for
     /// bit at every level, on values spanning ties, signed zeros,
     /// subnormals and the 2²³ threshold.

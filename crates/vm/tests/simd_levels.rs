@@ -861,3 +861,149 @@ fn reduction_scatter_bit_identical_on_adversarial_indices() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Floor-divided strided loads: axis-only gathers.
+// ---------------------------------------------------------------------------
+
+/// A single load `r0 = buf0[plan]`.
+fn load_kernel(plan: Vec<IdxPlan>) -> Kernel {
+    Kernel {
+        ops: vec![Op::Load {
+            dst: RegId(0),
+            buf: BufId(0),
+            plan,
+        }],
+        nregs: 1,
+        meta: None,
+        outs: vec![RegId(0)],
+    }
+}
+
+/// `(q·x + o) div m` on the middle grid dimension (stride 5, origin
+/// −150) with the outer and inner dimensions fixed — a strided load with
+/// a floor divisor and no register index — for m ∈ {2, 3, 4}, q ∈ {1, 2,
+/// 3}, negative `o` and every remainder of the chunk start: at every tail
+/// length and level, through both evaluation paths, every lane equals the
+/// naive `div_euclid` reference.
+#[test]
+fn floor_divided_strided_loads_bit_identical() {
+    let data = grid_data();
+    let (row, col) = (-3i64, 1i64);
+    for m in [2i64, 3, 4] {
+        for q in [1i64, 2, 3] {
+            for o in [-1i64, -7, -20] {
+                let plan = vec![
+                    IdxPlan::Affine {
+                        dim: None,
+                        q: 0,
+                        o: row,
+                        m: 1,
+                    },
+                    IdxPlan::Affine {
+                        dim: Some(0),
+                        q,
+                        o,
+                        m,
+                    },
+                    IdxPlan::Affine {
+                        dim: None,
+                        q: 0,
+                        o: col,
+                        m: 1,
+                    },
+                ];
+                // Smallest chunk start whose first lane is in range.
+                let first = (GRID_ORG[1] * m - o + q - 1).div_euclid(q);
+                for k in both_paths(load_kernel(plan)) {
+                    let bufs = [Some(grid_view(&data))];
+                    for shift in 0..m {
+                        let x0 = first + shift;
+                        for len in 1..=CHUNK {
+                            let want = gather_bits(&k, &bufs, x0, len, SimdLevel::Scalar);
+                            for (i, &w) in want.iter().enumerate() {
+                                let ry = (q * (x0 + i as i64) + o).div_euclid(m);
+                                let flat = ((row - GRID_ORG[0]) * GRID_SIZE[1] + ry - GRID_ORG[1])
+                                    * GRID_SIZE[2]
+                                    + col
+                                    - GRID_ORG[2];
+                                assert_eq!(w, data[flat as usize].to_bits(), "scalar lane {i}");
+                            }
+                            for level in available_simd_levels() {
+                                assert_eq!(
+                                    want,
+                                    gather_bits(&k, &bufs, x0, len, level),
+                                    "level {level}: m {m} q {q} o {o} x0 {x0} len {len} meta {}",
+                                    k.meta.is_some()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A floor-divided strided load whose row index lands one row before the
+/// first or one past the last row of a 2-D buffer (negative origins) —
+/// in lane 0, or in the last lane of a full 8-lane block — panics at
+/// every level, through both paths, as the per-lane walk always did.
+#[test]
+fn out_of_range_floor_divided_loads_panic_at_every_level() {
+    let (org, rows, cols) = ([-37i64, -2], 20i64, 5i64);
+    let data: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+    let bufs = [Some(BufView {
+        data: &data,
+        origin: org.to_vec(),
+        strides: vec![cols, 1],
+        sizes: vec![rows, cols],
+    })];
+    for m in [2i64, 3, 4] {
+        for q in [1i64, 2, 3] {
+            // With q > m the quotient skips values: take the first offset
+            // at which some lane lands exactly one row before the first
+            // and one row past the last.
+            let row = |o: i64, x: i64| (q * x + o).div_euclid(m);
+            let xs = || -400i64..400;
+            let (o, below, past) = (-12i64..0)
+                .rev()
+                .find_map(|o| {
+                    // Lane 0 at the last x one row before the first row;
+                    // lane 7 at the first x one row past the last row.
+                    let below = xs().rev().find(|&x| row(o, x) == org[0] - 1)?;
+                    let past = xs().find(|&x| row(o, x) == org[0] + rows)?;
+                    Some((o, below, past - 7))
+                })
+                .expect("an offset reaching both neighbours");
+            assert!(row(o, below + 1) >= org[0] && row(o, past + 6) < org[0] + rows);
+            let plan = vec![
+                IdxPlan::Affine {
+                    dim: Some(0),
+                    q,
+                    o,
+                    m,
+                },
+                IdxPlan::Affine {
+                    dim: None,
+                    q: 0,
+                    o: 0,
+                    m: 1,
+                },
+            ];
+            for k in both_paths(load_kernel(plan)) {
+                for x0 in [below, past] {
+                    for level in available_simd_levels() {
+                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            gather_bits(&k, &bufs, x0, 8, level)
+                        }));
+                        assert!(
+                            r.is_err(),
+                            "level {level}: m {m} q {q} x0 {x0}: out-of-range load did not panic"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
